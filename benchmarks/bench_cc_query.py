@@ -97,7 +97,7 @@ def test_cc_query_latency_ledger():
             engine.num_nodes,
             engine.num_rounds,
             engine.encoder,
-            engine._component_cut_sample,
+            lambda r, m: engine.tensor_pool.query_merged(m, r),
         ),
         QUERY_REPS,
     )

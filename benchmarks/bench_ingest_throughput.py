@@ -3,14 +3,17 @@
 Not a paper figure -- this is the repo's own performance ledger for the
 ingest pipeline.  Three paths over the same random multi-graph stream:
 
-* ``per-edge (seed)``: one ``edge_update`` call per stream update with
-  the legacy per-CubeSketch backend -- exactly the seed repository's
-  only ingestion path;
-* ``per-edge (flat)``: the same scalar API on the flat tensor backend,
+* ``per-edge (seed)``: one ``edge_update`` call per stream update into
+  :class:`~repro.baselines.seed_store.SeedStore` holding per-round
+  CubeSketch bundles (:class:`~repro.core.node_sketch.NodeSketch`)
+  behind per-node gutters -- exactly the seed repository's only
+  ingestion path;
+* ``per-edge (flat)``: the same scalar API on the engine's tensor pool,
   isolating what the columnar *storage* alone buys;
 * ``batched``: the per-node batch path -- updates grouped by
-  destination in numpy, each group applied with one ``_apply_batch``
-  (what a full gutter emits);
+  destination in numpy, each group folded with one
+  ``NodeTensorPool.apply_node_batch`` (what a full per-node gutter
+  emits);
 * ``columnar``: ``ingest_batch`` end-to-end -- canonicalise, mirror,
   encode, and fold the whole edge array through the tensor-pool kernel.
 
@@ -35,8 +38,11 @@ import numpy as np
 from conftest import print_table
 
 from repro.analysis.tables import render_table
+from repro.baselines.seed_store import SeedStore
+from repro.buffering.base import group_by_destination
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
+from repro.core.node_sketch import NodeSketch
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -65,12 +71,11 @@ def _random_edges(num_nodes: int, count: int, seed: int) -> np.ndarray:
 KERNEL_BACKEND = os.environ.get("REPRO_BENCH_KERNEL_BACKEND", "numpy")
 
 
-def _engine(backend: str = "flat") -> GraphZeppelin:
+def _engine() -> GraphZeppelin:
     return GraphZeppelin(
         NUM_NODES,
         config=GraphZeppelinConfig(
-            buffering=BufferingMode.LEAF_GUTTERS, seed=3, sketch_backend=backend,
-            kernel_backend=KERNEL_BACKEND,
+            buffering=BufferingMode.LEAF_GUTTERS, seed=3, kernel_backend=KERNEL_BACKEND
         ),
     )
 
@@ -92,7 +97,7 @@ def test_ingest_throughput_ledger():
     edges = _random_edges(NUM_NODES, NUM_EDGES, seed=5)
 
     def per_edge_seed():
-        engine = _engine(backend="legacy")
+        engine = SeedStore(NUM_NODES, sketch_type=NodeSketch, seed=3)
         for u, v in edges.tolist():
             engine.edge_update(u, v)
         engine.flush()
@@ -115,7 +120,8 @@ def test_ingest_throughput_ledger():
         dsts = np.concatenate([lo, hi])
         neighbors = np.concatenate([hi, lo])
         engine._updates_processed += int(lo.size)
-        engine._apply_grouped(dsts, neighbors)
+        for node, chunk in group_by_destination(dsts, neighbors):
+            engine.tensor_pool.apply_node_batch(node, chunk)
         engine.flush()
         return engine
 
@@ -126,7 +132,7 @@ def test_ingest_throughput_ledger():
         return engine
 
     rows = [
-        _measure("per-edge (seed, legacy backend)", per_edge_seed),
+        _measure("per-edge (seed store, NodeSketch)", per_edge_seed),
         _measure("per-edge (flat backend)", per_edge_flat),
         _measure("batched (grouped per node)", batched),
         _measure("columnar (ingest_batch)", columnar),

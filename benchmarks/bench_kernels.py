@@ -9,9 +9,9 @@ end-to-end rows (serial ``ingest_batch``, whole-round spanning-forest
 query) record what the fused kernels buy at the engine level.
 
 Results land in ``BENCH_kernels.json`` next to the other ledgers; the
-``kernel_backend`` field records which provider (``numba`` or ``cc``)
-produced the numbers.  The whole module skips when no native provider
-is usable (the numpy-only environment has nothing to measure).
+``kernel_backend`` field records which provider (``cc``) produced the
+numbers.  The whole module skips when no native provider is usable
+(the numpy-only environment has nothing to measure).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the workload
 and drops the speedup floor to >1x -- tiny inputs under-amortise the

@@ -12,10 +12,9 @@ Three engines ingest the same random stream through the same user API
   pages through the hybrid memory, page-coalesced buffering, combined
   fold kernel;
 * ``per-node blob store``: the same RAM budget through the seed
-  per-node ``SketchStore`` design
-  (``config.out_of_core_pool = "per_node"``): one serialised
-  ``FlatNodeSketch`` payload per node, per-node gutters, one blob
-  round trip per emitted batch.
+  design, :class:`~repro.baselines.seed_store.SeedStore`: one
+  serialised ``FlatNodeSketch`` payload per node in a ``SketchStore``,
+  per-node gutters, one blob round trip per emitted batch.
 
 The RAM budget is an eighth of the sketch-state bytes, which leaves
 well over half of the pages spilled to the simulated SSD (the spill
@@ -43,9 +42,12 @@ from _timing import TIMING_REPS, interleaved_medians
 from conftest import print_table
 
 from repro.analysis.tables import render_table
+from repro.baselines.seed_store import SeedStore
 from repro.core.config import GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.generators.random_graphs import random_multigraph_edges
+from repro.memory.hybrid import HybridMemory
+from repro.sketch.flat_node_sketch import FlatNodeSketch
 from repro.sketch.sizes import node_sketch_size_bytes
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -72,16 +74,24 @@ def _ram_budget() -> int:
     return node_sketch_size_bytes(NUM_NODES) * NUM_NODES // 8
 
 
-def _config(kind: str) -> GraphZeppelinConfig:
+def _build(kind: str):
     if kind == "in_ram":
-        return GraphZeppelinConfig(seed=SEED)
-    return GraphZeppelinConfig(
-        seed=SEED, ram_budget_bytes=_ram_budget(), out_of_core_pool=kind
+        return GraphZeppelin(NUM_NODES, config=GraphZeppelinConfig(seed=SEED))
+    if kind == "paged":
+        return GraphZeppelin(
+            NUM_NODES,
+            config=GraphZeppelinConfig(seed=SEED, ram_budget_bytes=_ram_budget()),
+        )
+    return SeedStore(
+        NUM_NODES,
+        sketch_type=FlatNodeSketch,
+        seed=SEED,
+        memory=HybridMemory(ram_bytes=_ram_budget()),
     )
 
 
-def _ingest(kind: str, edges: np.ndarray) -> GraphZeppelin:
-    engine = GraphZeppelin(NUM_NODES, config=_config(kind))
+def _ingest(kind: str, edges: np.ndarray):
+    engine = _build(kind)
     for start in range(0, edges.shape[0], CHUNK):
         engine.ingest_batch(edges[start : start + CHUNK])
     engine.flush()
@@ -106,7 +116,7 @@ def test_outofcore_ingest_ledger():
     specs = ["in_ram", "paged", "per_node"]
     engines = {}
 
-    def on_result(kind: str, rep: int, engine: GraphZeppelin) -> None:
+    def on_result(kind: str, rep: int, engine) -> None:
         # The first repetition's engines are kept for the correctness
         # half of the ledger below; later repetitions are timing-only.
         if rep == 0:

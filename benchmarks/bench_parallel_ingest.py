@@ -85,8 +85,7 @@ def _engine() -> GraphZeppelin:
 
 def _release(engine: GraphZeppelin) -> None:
     """Free an engine's (possibly shared-memory) pool between rows."""
-    if engine.tensor_pool is not None:
-        engine.tensor_pool.release_shared()
+    engine.tensor_pool.release_shared()
 
 
 def _pools_equal(a: GraphZeppelin, b: GraphZeppelin) -> bool:

@@ -1,7 +1,6 @@
 """The paged out-of-core engine: columnar ingest past the RAM budget.
 
-Since PR 4 a RAM-budgeted GraphZeppelin no longer falls back to a
-per-node blob store: sketch state lives in a
+A RAM-budgeted GraphZeppelin keeps its sketch state in a
 :class:`~repro.sketch.paged_pool.PagedTensorPool` -- the round-major
 bucket tensors partitioned into node-group *pages* (whole device
 blocks each) behind the hybrid-memory substrate.  Buffered updates are
@@ -11,8 +10,8 @@ partial-range reads and run the same vectorized whole-round driver the
 in-RAM engine uses.
 
 This example ingests one stream three ways -- in RAM, paged
-out-of-core, and the seed per-node blob store kept as the reference
-(``out_of_core_pool="per_node"``) -- then shows:
+out-of-core, and the seed design's per-node blob store
+(:class:`~repro.baselines.seed_store.SeedStore`) -- then shows:
 
 * bit-identical spanning forests across all three,
 * the paged pool's page geometry and working-set telemetry,
@@ -28,7 +27,9 @@ import numpy as np
 
 from repro import GraphZeppelin, GraphZeppelinConfig
 from repro.analysis.tables import format_bytes, format_rate, render_table
+from repro.baselines.seed_store import SeedStore
 from repro.generators.random_graphs import random_multigraph_edges
+from repro.memory.hybrid import HybridMemory
 from repro.sketch.sizes import node_sketch_size_bytes
 
 NUM_NODES = 6_000
@@ -37,8 +38,7 @@ CHUNK = 2_000
 SEED = 21
 
 
-def ingest(config: GraphZeppelinConfig, edges: np.ndarray) -> tuple:
-    engine = GraphZeppelin(NUM_NODES, config=config)
+def ingest(engine, edges: np.ndarray) -> tuple:
     start = time.perf_counter()
     for offset in range(0, edges.shape[0], CHUNK):
         engine.ingest_batch(edges[offset : offset + CHUNK])
@@ -56,15 +56,17 @@ def main() -> None:
         f"(sketch state {format_bytes(node_sketch_size_bytes(NUM_NODES) * NUM_NODES)})\n"
     )
 
-    in_ram, in_ram_s, in_ram_forest = ingest(GraphZeppelinConfig(seed=SEED), edges)
-    paged, paged_s, paged_forest = ingest(
-        GraphZeppelinConfig(seed=SEED, ram_budget_bytes=budget), edges
+    in_ram, in_ram_s, in_ram_forest = ingest(
+        GraphZeppelin(NUM_NODES, config=GraphZeppelinConfig(seed=SEED)), edges
     )
-    per_node, per_node_s, per_node_forest = ingest(
-        GraphZeppelinConfig(
-            seed=SEED, ram_budget_bytes=budget, out_of_core_pool="per_node"
+    paged, paged_s, paged_forest = ingest(
+        GraphZeppelin(
+            NUM_NODES, config=GraphZeppelinConfig(seed=SEED, ram_budget_bytes=budget)
         ),
         edges,
+    )
+    per_node, per_node_s, per_node_forest = ingest(
+        SeedStore(NUM_NODES, seed=SEED, memory=HybridMemory(ram_bytes=budget)), edges
     )
 
     rows = []
@@ -90,7 +92,7 @@ def main() -> None:
         == paged_forest.partition_signature()
         == per_node_forest.partition_signature()
     )
-    print("\nAll three engines return the same spanning forest "
+    print("\nAll three stores return the same spanning forest "
           f"({in_ram_forest.num_components} components).")
 
     info = paged.tensor_pool.page_stats()
@@ -118,8 +120,7 @@ def main() -> None:
     )
     print(
         f"\nPage-affine sharded ingest (threads x{ingestor.effective_workers}): "
-        f"{format_rate(edges.shape[0] / sharded_s)} -- same forest, no legacy "
-        "worker pool anywhere."
+        f"{format_rate(edges.shape[0] / sharded_s)} -- same forest."
     )
 
 

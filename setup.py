@@ -3,8 +3,7 @@
 The environment this reproduction targets may lack the ``wheel``
 package and network access, so the build configuration is duplicated
 here in classic ``setup.py`` form to keep ``pip install -e .`` working
-with legacy (non-PEP-517) editable installs.  ``pyproject.toml`` holds
-the same metadata for modern tooling.
+with legacy (non-PEP-517) editable installs.
 """
 
 from setuptools import find_packages, setup
@@ -23,7 +22,6 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.24"],
     extras_require={
-        "native": ["numba>=0.59"],
         "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy", "networkx"],
     },
     entry_points={

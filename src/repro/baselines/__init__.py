@@ -9,6 +9,9 @@
 * :class:`repro.baselines.terrace_like.TerraceLike` -- a simplified
   hierarchical per-vertex container with Terrace's space profile
   (inline buffer + sorted overflow levels).
+* :class:`repro.baselines.seed_store.SeedStore` -- the seed design's
+  per-node sketch store behind per-node gutters; the denominator of
+  the ingest and out-of-core benchmark ledgers.
 * :mod:`repro.baselines.space_models` -- closed-form space accounting
   for every system, used to reproduce the Figure 11 crossover at the
   paper's full scales without materialising terabyte graphs.
@@ -20,6 +23,7 @@ and in-RAM/out-of-core behaviour, not their internal engineering.
 
 from repro.baselines.adjacency_matrix import AdjacencyMatrixGraph
 from repro.baselines.aspen_like import AspenLike
+from repro.baselines.seed_store import SeedStore
 from repro.baselines.space_models import (
     adjacency_list_bytes,
     adjacency_matrix_bytes,
@@ -33,6 +37,7 @@ from repro.baselines.terrace_like import TerraceLike
 __all__ = [
     "AdjacencyMatrixGraph",
     "AspenLike",
+    "SeedStore",
     "TerraceLike",
     "adjacency_list_bytes",
     "adjacency_matrix_bytes",

@@ -9,14 +9,15 @@ Workers can process in parallel (Sections 4 and 5.1 of the paper).
 Two buffering structures are provided, matching the paper:
 
 * :class:`repro.buffering.leaf_gutters.LeafGutters` -- one gutter per
-  graph node, used when RAM is plentiful (``M > V * B``),
+  node-group page, used when RAM is plentiful (``M > V * B``),
 * :class:`repro.buffering.gutter_tree.GutterTree` -- a simplified
   buffer tree whose leaves are the gutters, used when even the gutters
   do not fit in RAM; parent-to-child flushes are charged to the
   simulated block device.
 
-Both emit :class:`repro.buffering.base.Batch` objects into a
-:class:`repro.buffering.work_queue.WorkQueue`.
+Both are keyed by node-group page and emit
+:class:`repro.buffering.base.PageBatch` mixed-node columns that the
+engine folds into its tensor pool one page at a time.
 """
 
 from repro.buffering.base import Batch, BufferingSystem

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -22,12 +22,10 @@ class Batch:
     (duplicates are legal: an edge inserted and later deleted appears
     twice and cancels inside the Z_2 sketch).
 
-    .. deprecated:: PR 4
-        Per-node batches are no longer the buffering hot path: engines
-        holding a tensor pool (in-RAM or paged) buffer per node-group
-        *page* and emit :class:`PageBatch` mixed-node columns instead.
-        ``Batch`` remains the emission unit only for the **legacy**
-        sketch backend's per-node object store (and its worker pool).
+    The buffering structures emit :class:`PageBatch` columns; ``Batch``
+    is the work unit of the seed design's
+    :class:`~repro.parallel.graph_workers.GraphWorkerPool` (and its
+    :class:`~repro.parallel.graph_workers.ParallelIngestor` driver).
     """
 
     node: int
@@ -45,7 +43,7 @@ class Batch:
 
     @property
     def lock_key(self) -> Tuple[str, int]:
-        """Serialisation key for the legacy worker pool's per-target locks."""
+        """Serialisation key for the worker pool's per-target locks."""
         return ("node", self.node)
 
 
@@ -77,7 +75,7 @@ class PageBatch:
 
     @property
     def lock_key(self) -> Tuple[str, int]:
-        """Serialisation key for the legacy worker pool's per-target locks."""
+        """Serialisation key for the worker pool's per-target locks."""
         return ("page", self.page)
 
 
@@ -85,7 +83,7 @@ class BufferingSystem(abc.ABC):
     """Interface shared by the leaf-only gutters and the gutter tree."""
 
     @abc.abstractmethod
-    def insert(self, u: int, v: int) -> List[Batch]:
+    def insert(self, u: int, v: int) -> List[PageBatch]:
         """Buffer the update ``{u, v}`` for node ``u``.
 
         Returns the (possibly empty) list of batches that became full as
@@ -95,11 +93,11 @@ class BufferingSystem(abc.ABC):
         """
 
     @abc.abstractmethod
-    def flush_all(self) -> List[Batch]:
+    def flush_all(self) -> List[PageBatch]:
         """Empty every buffer, returning all remaining non-empty batches."""
 
     @abc.abstractmethod
-    def restore(self, batches: List[Batch]) -> None:
+    def restore(self, batches: List[PageBatch]) -> None:
         """Put emitted-but-unapplied batches back into the buffers.
 
         The engine's failure-atomic flush depends on this:
@@ -120,13 +118,13 @@ class BufferingSystem(abc.ABC):
     def capacity_per_node(self) -> int:
         """Updates a single node's gutter holds before it is emitted."""
 
-    def insert_edge(self, u: int, v: int) -> List[Batch]:
+    def insert_edge(self, u: int, v: int) -> List[PageBatch]:
         """Buffer both directions of an edge update (the public entry point)."""
         batches = self.insert(u, v)
         batches.extend(self.insert(v, u))
         return batches
 
-    def insert_batch(self, dsts, neighbors) -> List[Batch]:
+    def insert_batch(self, dsts, neighbors) -> List[PageBatch]:
         """Buffer a column of single-direction updates at once.
 
         ``dsts[i]`` receives the update ``{dsts[i], neighbors[i]}``; the
@@ -134,7 +132,7 @@ class BufferingSystem(abc.ABC):
         array in one call.  The base implementation loops; the concrete
         buffering structures override it with vectorised grouping.
         """
-        batches: List[Batch] = []
+        batches: List[PageBatch] = []
         for u, v in zip(dsts, neighbors):
             batches.extend(self.insert(int(u), int(v)))
         return batches

@@ -11,21 +11,17 @@ compiled twins selected through ``config.kernel_backend``:
 ``"numpy"``
     The default: the pure-numpy kernels, no compiled code anywhere.
 ``"native"``
-    Require a compiled provider; raise
-    :class:`~repro.exceptions.ConfigurationError` when none is usable.
+    Require the compiled provider; raise
+    :class:`~repro.exceptions.ConfigurationError` when it is not usable.
 ``"auto"``
-    Use a compiled provider when one is available, fall back to numpy
+    Use the compiled provider when it is available, fall back to numpy
     silently otherwise (the selection is logged once per process).
 
-Two providers implement the same compiled loops:
+The compiled provider is :mod:`repro.kernels.native_cc`: a small C
+library compiled at first use with the host toolchain and driven
+through :mod:`ctypes`.
 
-* :mod:`repro.kernels.native_numba` -- numba ``@njit`` kernels,
-  preferred when :mod:`numba` is importable (``pip install .[native]``).
-* :mod:`repro.kernels.native_cc` -- a small C library compiled at first
-  use with the host toolchain and driven through :mod:`ctypes`; used
-  when numba is absent but a C compiler exists.
-
-Every provider is property-tested **bit-identical** to the numpy path
+The provider is property-tested **bit-identical** to the numpy path
 (``tests/test_native_kernels.py``): same seed in, same tensors, forests,
 and stats out, across packed/wide bucket modes, flat/paged pools, and
 serial/sharded/distributed ingest.  ``kernel_backend`` therefore stays
@@ -56,11 +52,10 @@ _logged_choice = False
 def native_kernels():
     """The process-wide native kernel provider, or ``None``.
 
-    Resolution happens once per process: numba first (the preferred,
-    ``pip install .[native]`` provider), then the runtime-compiled C
-    provider.  Both the provider instance and a failure are cached, so
-    repeated calls are cheap and every pool in the process shares one
-    compiled library.
+    Resolution happens once per process: the runtime-compiled C
+    provider is built (or loaded from its cache) on first call.  Both
+    the provider instance and a failure are cached, so repeated calls
+    are cheap and every pool in the process shares one compiled library.
     """
     global _resolved, _provider, _unavailable_reason
     if _resolved:
@@ -68,20 +63,12 @@ def native_kernels():
     with _lock:
         if _resolved:
             return _provider
-        reasons = []
         try:
-            from repro.kernels.native_numba import NumbaKernels
+            from repro.kernels.native_cc import CcKernels
 
-            _provider = NumbaKernels()
-        except Exception as exc:  # ImportError without numba, or jit failure
-            reasons.append(f"numba: {exc}")
-            try:
-                from repro.kernels.native_cc import CcKernels
-
-                _provider = CcKernels()
-            except Exception as cc_exc:
-                reasons.append(f"cc: {cc_exc}")
-                _unavailable_reason = "; ".join(reasons)
+            _provider = CcKernels()
+        except Exception as exc:  # no compiler, or the build failed
+            _unavailable_reason = f"cc: {exc}"
         _resolved = True
     return _provider
 
@@ -112,7 +99,7 @@ def resolve_kernels(backend: str):
     if provider is None and backend == "native":
         raise ConfigurationError(
             "kernel_backend='native' but no native provider is usable "
-            f"({_unavailable_reason}); install the [native] extra or use 'auto'"
+            f"({_unavailable_reason}); install a C compiler or use 'auto'"
         )
     if not _logged_choice:
         _logged_choice = True

@@ -8,9 +8,10 @@ reads charge block I/Os and modelled latency.  With an unlimited RAM
 budget the device is never touched, which is the "everything fits in
 RAM" configuration of the experiments.
 
-:class:`SketchStore` layers object (de)serialisation on top, so the
-connectivity engine can address node sketches by node id without caring
-where they currently live.
+:class:`SketchStore` layers object (de)serialisation on top, so a
+per-node store (the seed design,
+:class:`~repro.baselines.seed_store.SeedStore`) can address node
+sketches by node id without caring where they currently live.
 """
 
 from __future__ import annotations
@@ -574,11 +575,11 @@ class HybridMemory:
 class SketchStore(Generic[T]):
     """Keyed store of (de)serialisable objects on top of a HybridMemory.
 
-    The connectivity engine keeps one entry per graph node.  In the
-    unbounded-RAM configuration objects are kept live in a dict and the
-    hybrid memory is bypassed entirely; with a RAM budget, objects are
-    serialised into the hybrid memory so that access patterns incur the
-    same I/O a real out-of-core run would.
+    The seed design's per-node store keeps one entry per graph node.
+    In the unbounded-RAM configuration objects are kept live in a dict
+    and the hybrid memory is bypassed entirely; with a RAM budget,
+    objects are serialised into the hybrid memory so that access
+    patterns incur the same I/O a real out-of-core run would.
     """
 
     def __init__(

@@ -19,10 +19,12 @@ Execution backends (``GraphZeppelinConfig.parallel_backend``):
   pool over disjoint slabs scales on real cores;
 * ``"processes"`` -- the pool tensors move to
   ``multiprocessing.shared_memory``; worker processes attach by segment
-  name and fold in place;
-* ``"legacy"`` (:class:`repro.parallel.graph_workers.ParallelIngestor`)
-  -- the seed design (per-node batches through per-node locks), kept as
-  the reference backend and for buffered/out-of-core engines.
+  name and fold in place.
+
+The seed design (per-node batches through per-node locks,
+:class:`repro.parallel.graph_workers.ParallelIngestor`) is no engine
+backend; it stays importable as the Figure-14 and parallel-ingest
+baseline.
 
 Sharding also pays off single-threaded: shard node ranges are sized so
 the fold kernel's int16 radix sort applies to mixed-node groups
@@ -31,7 +33,7 @@ the fold kernel's int16 radix sort applies to mixed-node groups
 needs.  :class:`repro.parallel.cost_model.ShardedIngestModel` prices
 the pipeline (partition + per-shard folds + barrier);
 :class:`repro.parallel.cost_model.ThreadScalingModel` remains the
-calibrated Figure-14 curve for the legacy pool.
+calibrated Figure-14 curve for the seed-design pool.
 """
 
 from repro.parallel.cost_model import ShardedIngestModel, ThreadScalingModel

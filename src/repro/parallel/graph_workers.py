@@ -51,12 +51,13 @@ shard boundaries snap to the pool's node-group page boundaries, so one
 worker owns each page's fold (the pool's pin/evict bookkeeping
 serialises under its own lock while the fold kernels run concurrently
 on disjoint pages).  Page-affine mode runs on the threads backend --
-pages cannot migrate to shared memory -- and means ``--workers`` no
-longer falls back to the legacy pool for RAM-budgeted engines.
+pages cannot migrate to shared memory.
 
 The seed design -- a :class:`GraphWorkerPool` popping per-node
-``Batch`` objects through per-target locks -- is kept as the
-``"legacy"`` reference backend (:class:`ParallelIngestor`).
+``Batch`` objects through per-target locks, driven by
+:class:`ParallelIngestor` -- is kept as the Figure-14 scaling model's
+subject and the parallel-ingest benchmark's baseline; no engine config
+selects it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from repro.parallel.cost_model import usable_cores
 from repro.sketch.flat_node_sketch import hash_depths_checksums
 from repro.sketch.tensor_pool import NodeTensorPool, auto_num_shards, shard_bounds
 
-#: Signature of the function a legacy worker applies to each batch.
+#: Signature of the function a seed-design worker applies to each batch.
 BatchApplier = Callable[[Batch], None]
 
 #: Default bound on the pipelined producer's prepared-batch backlog, in
@@ -188,12 +189,10 @@ class ShardedIngestor:
     Parameters
     ----------
     engine:
-        The GraphZeppelin instance to ingest into.  Must hold a flat
-        tensor pool: the in-RAM :class:`NodeTensorPool` (the default)
-        or the out-of-core
+        The GraphZeppelin instance to ingest into: its in-RAM
+        :class:`NodeTensorPool` (the default) or its out-of-core
         :class:`~repro.sketch.paged_pool.PagedTensorPool` (page-affine
-        mode, threads backend only).  Only the legacy sketch backend's
-        per-node object store keeps the legacy worker pool.
+        mode, threads backend only).
     num_workers:
         Concurrent shard workers (default ``engine.config.num_workers``).
     num_shards:
@@ -224,25 +223,14 @@ class ShardedIngestor:
         max_queued_bytes: Optional[int] = None,
     ) -> None:
         pool = engine.tensor_pool
-        if pool is None:
-            raise ConfigurationError(
-                "sharded parallel ingest requires a flat tensor pool (in-RAM "
-                "or paged); use the legacy ParallelIngestor for the legacy "
-                "sketch backend's per-node object store"
-            )
         self.engine = engine
         self.pool: NodeTensorPool = pool
         self.paged = pool.is_paged
         self.backend = backend if backend is not None else engine.config.parallel_backend
-        if self.backend == "legacy":
-            raise ConfigurationError(
-                "parallel_backend='legacy' maps to ParallelIngestor, not "
-                "ShardedIngestor; use GraphZeppelin.parallel_ingestor()"
-            )
         if self.backend not in ("threads", "processes"):
             raise ConfigurationError(
                 f"unknown parallel backend {self.backend!r} "
-                "(use 'threads', 'processes', or 'legacy')"
+                "(use 'threads' or 'processes')"
             )
         if self.paged and self.backend == "processes":
             raise ConfigurationError(
@@ -579,18 +567,17 @@ class ShardedIngestor:
 
 
 # ----------------------------------------------------------------------
-# legacy reference backend (the seed design, shutdown race fixed)
+# the seed design's worker pool (shutdown race fixed)
 # ----------------------------------------------------------------------
 class GraphWorkerPool:
     """A pool of worker threads consuming per-node batches from a queue.
 
-    The seed repository's Graph Workers pipeline, kept as the
-    ``"legacy"`` reference backend: a producer pushes
+    The seed repository's Graph Workers pipeline: a producer pushes
     :class:`~repro.buffering.base.Batch` objects into the bounded work
     queue and ``num_workers`` threads pop and apply them, serialising
-    same-node batches with a per-node lock.  The sharded path above
-    replaces all of this for the in-RAM tensor pool; this pool remains
-    for buffered/out-of-core engines and as the comparison baseline.
+    same-target batches with a per-target lock.  The sharded path above
+    replaces all of this in the engine; this pool remains as the
+    comparison baseline.
 
     Shutdown uses task-done accounting: :meth:`join` blocks on the
     queue's unfinished-task count -- which reaches zero only after the
@@ -700,15 +687,15 @@ class GraphWorkerPool:
 
 
 class ParallelIngestor:
-    """Drives a GraphZeppelin instance with the legacy Graph Worker pool.
+    """Drives a GraphZeppelin instance with the seed design's worker pool.
 
     The single-threaded engine applies batches inline as the buffering
     layer emits them; this wrapper reroutes emitted batches through a
     :class:`GraphWorkerPool` instead, so multiple node sketches are
-    updated concurrently.  This is the ``"legacy"`` reference backend --
-    per-node batches, per-node locks, scalar apply path; prefer
-    :class:`ShardedIngestor` whenever the engine holds the in-RAM
-    tensor pool.  Use it as a context manager::
+    updated concurrently.  It is the seed design -- per-target batches
+    and locks, scalar apply path -- kept as the Figure-14 and
+    parallel-ingest baseline; the engine's own parallel path is
+    :class:`ShardedIngestor`.  Use it as a context manager::
 
         with ParallelIngestor(gz, num_workers=8) as ingestor:
             for update in stream:

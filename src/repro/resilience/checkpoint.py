@@ -131,11 +131,6 @@ class Checkpointer:
         fault_plan=None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if engine.tensor_pool is None:
-            raise ConfigurationError(
-                "checkpointing requires a tensor-pool engine (the flat "
-                "sketch backend); the legacy object stores do not snapshot"
-            )
         self.engine = engine
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 """Tests for the buffering layer: work queue, leaf gutters, gutter tree."""
 
+import numpy as np
 import pytest
 
 from repro.buffering.base import BYTES_PER_BUFFERED_UPDATE, Batch, gutter_capacity_updates
@@ -71,55 +72,64 @@ def test_work_queue_rejects_bad_worker_count():
 
 
 # ----------------------------------------------------------------------
-# LeafGutters
+# LeafGutters (one node per page: the seed design's per-node gutters)
 # ----------------------------------------------------------------------
+def per_node(num_nodes):
+    return np.arange(num_nodes + 1)
+
+
 def test_leaf_gutter_emits_batch_when_full():
-    gutters = LeafGutters(num_nodes=10, capacity_updates=3)
+    gutters = LeafGutters(num_nodes=10, page_bounds=per_node(10), capacity_updates=3)
     assert gutters.insert(0, 1) == []
     assert gutters.insert(0, 2) == []
     emitted = gutters.insert(0, 3)
     assert len(emitted) == 1
-    assert emitted[0].node == 0
-    assert emitted[0].neighbors == [1, 2, 3]
+    assert (emitted[0].node_lo, emitted[0].node_hi) == (0, 1)
+    assert emitted[0].neighbors.tolist() == [1, 2, 3]
     assert gutters.pending_for(0) == 0
 
 
 def test_leaf_gutter_capacity_from_sketch_size():
-    gutters = LeafGutters(num_nodes=4, node_sketch_bytes=800, fraction=0.5)
+    gutters = LeafGutters(
+        num_nodes=4, page_bounds=per_node(4), node_sketch_bytes=800, fraction=0.5
+    )
     assert gutters.capacity_per_node == 50
 
 
 def test_leaf_gutter_flush_all_returns_remaining():
-    gutters = LeafGutters(num_nodes=10, capacity_updates=100)
+    gutters = LeafGutters(num_nodes=10, page_bounds=per_node(10), capacity_updates=100)
     gutters.insert(1, 2)
     gutters.insert(3, 4)
     batches = gutters.flush_all()
-    assert sorted(batch.node for batch in batches) == [1, 3]
+    assert sorted(batch.node_lo for batch in batches) == [1, 3]
     assert gutters.pending_updates() == 0
 
 
 def test_leaf_gutter_insert_edge_buffers_both_directions():
-    gutters = LeafGutters(num_nodes=10, capacity_updates=100)
+    gutters = LeafGutters(num_nodes=10, page_bounds=per_node(10), capacity_updates=100)
     gutters.insert_edge(1, 2)
     assert gutters.pending_for(1) == 1
     assert gutters.pending_for(2) == 1
 
 
 def test_leaf_gutter_rejects_bad_nodes_and_config():
-    gutters = LeafGutters(num_nodes=4, capacity_updates=2)
+    gutters = LeafGutters(num_nodes=4, page_bounds=per_node(4), capacity_updates=2)
     with pytest.raises(ValueError):
         gutters.insert(0, 9)
     with pytest.raises(ConfigurationError):
-        LeafGutters(num_nodes=0, capacity_updates=1)
+        LeafGutters(num_nodes=0, page_bounds=per_node(0), capacity_updates=1)
     with pytest.raises(ConfigurationError):
-        LeafGutters(num_nodes=4)  # needs sketch bytes or explicit capacity
+        # needs sketch bytes or explicit capacity
+        LeafGutters(num_nodes=4, page_bounds=per_node(4))
     with pytest.raises(ConfigurationError):
-        LeafGutters(num_nodes=4, capacity_updates=0)
+        LeafGutters(num_nodes=4, page_bounds=per_node(4), capacity_updates=0)
 
 
 def test_leaf_gutter_charges_io_when_memory_bounded():
     memory = HybridMemory(ram_bytes=0, block_size=1024)
-    gutters = LeafGutters(num_nodes=8, capacity_updates=2, memory=memory)
+    gutters = LeafGutters(
+        num_nodes=8, page_bounds=per_node(8), capacity_updates=2, memory=memory
+    )
     gutters.insert(0, 1)
     gutters.insert(0, 2)
     assert memory.stats.bytes_read > 0
@@ -131,6 +141,7 @@ def test_leaf_gutter_charges_io_when_memory_bounded():
 def make_tree(**kwargs):
     defaults = dict(
         num_nodes=64,
+        page_bounds=per_node(kwargs.get("num_nodes", 64)),
         node_sketch_bytes=400,
         buffer_bytes=256,        # tiny buffers so flushes happen in tests
         flush_block_bytes=64,
@@ -178,7 +189,7 @@ def test_gutter_tree_batches_are_per_node():
     for _ in range(30):
         tree.insert(3, 5)
     batches = tree.flush_all()
-    assert all(batch.node == 3 for batch in batches)
+    assert all((batch.node_lo, batch.node_hi) == (3, 4) for batch in batches)
     assert sum(len(b) for b in batches) == 30
 
 
@@ -195,21 +206,21 @@ def test_gutter_tree_charges_device_traffic():
 
 def test_gutter_tree_validation():
     with pytest.raises(ConfigurationError):
-        GutterTree(num_nodes=0, node_sketch_bytes=100)
+        GutterTree(num_nodes=0, page_bounds=per_node(0), node_sketch_bytes=100)
     with pytest.raises(ConfigurationError):
-        GutterTree(num_nodes=4, node_sketch_bytes=0)
+        GutterTree(num_nodes=4, page_bounds=per_node(4), node_sketch_bytes=0)
     with pytest.raises(ConfigurationError):
-        GutterTree(num_nodes=4, node_sketch_bytes=100, buffer_bytes=0)
+        GutterTree(
+            num_nodes=4, page_bounds=per_node(4), node_sketch_bytes=100, buffer_bytes=0
+        )
     tree = make_tree()
     with pytest.raises(ValueError):
         tree.insert(0, 999)
 
 
 # ----------------------------------------------------------------------
-# Page mode: gutters keyed per node group, emitting PageBatch columns
+# Multi-node pages: gutters keyed per node group, emitting mixed columns
 # ----------------------------------------------------------------------
-import numpy as np
-
 from repro.buffering.base import PageBatch
 
 
@@ -227,7 +238,6 @@ def test_page_batch_len_size_and_lock_key():
 def test_leaf_gutters_page_mode_emits_mixed_node_columns():
     bounds = np.asarray([0, 4, 8, 10])
     gutters = LeafGutters(num_nodes=10, capacity_updates=2, page_bounds=bounds)
-    assert gutters.page_mode
     # Page 0 holds nodes 0-3 with capacity 2 * 4 = 8 updates.
     emitted = []
     for i in range(7):

@@ -12,8 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.boruvka import sketch_spanning_forest
 from repro.core.config import BufferingMode, GraphZeppelinConfig
+from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
+from repro.core.node_sketch import NodeSketch, merged_round_sketch
 from repro.exceptions import InvalidStreamError
 
 
@@ -62,23 +65,37 @@ def test_ingest_batch_matches_per_edge_path(buffering):
 
 
 def test_flat_and_legacy_backends_answer_identically():
+    """The engine's pool holds the buckets per-node NodeSketches hold.
+
+    The reference is the seed layout: one per-round CubeSketch bundle
+    per node, fed the same edges one toggle at a time, and queried
+    through the per-component Boruvka driver.
+    """
     edges = _random_edges(40, 250, seed=4)
-    flat = GraphZeppelin(40, config=GraphZeppelinConfig(seed=3, sketch_backend="flat"))
-    legacy = GraphZeppelin(40, config=GraphZeppelinConfig(seed=3, sketch_backend="legacy"))
+    flat = GraphZeppelin(40, config=GraphZeppelinConfig(seed=3))
     flat.ingest_batch(edges)
-    for u, v in edges.tolist():
-        legacy.edge_update(u, v)
     flat.flush()
-    legacy.flush()
+    encoder = EdgeEncoder(40)
+    legacy = [NodeSketch(node, encoder, graph_seed=3) for node in range(40)]
+    for u, v in edges.tolist():
+        legacy[u].apply_edge(v)
+        legacy[v].apply_edge(u)
     for node in range(40):
         flat_sketch = flat.node_sketch(node)
-        legacy_sketch = legacy.node_sketch(node)
         for round_index in range(flat.num_rounds):
             alpha_f, gamma_f = flat_sketch.round_arrays(round_index)
-            alpha_l, gamma_l = legacy_sketch.round_sketch(round_index).raw_arrays()
+            alpha_l, gamma_l = legacy[node].round_sketch(round_index).raw_arrays()
             assert np.array_equal(alpha_f, alpha_l)
             assert np.array_equal(gamma_f, gamma_l)
-    assert flat.list_spanning_forest().edges == legacy.list_spanning_forest().edges
+    reference, _stats = sketch_spanning_forest(
+        40,
+        flat.num_rounds,
+        encoder,
+        lambda round_index, members: merged_round_sketch(
+            [legacy[n] for n in members], round_index
+        ).query(),
+    )
+    assert flat.list_spanning_forest().edges == reference.edges
 
 
 def test_ingest_batch_out_of_core_flat_backend():

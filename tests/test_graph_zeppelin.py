@@ -185,3 +185,66 @@ def test_node_sketch_accessor():
     sketch = gz.node_sketch(2)
     result = sketch.query_round(0)
     assert result.is_good
+
+
+# ----------------------------------------------------------------------
+# configuration
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sketch_backend", "legacy"),
+        ("query_backend", "scalar"),
+        ("out_of_core_pool", "per_node"),
+        ("parallel_backend", "legacy"),
+    ],
+)
+def test_removed_backend_values_are_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        GraphZeppelinConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"buffering": "bogus"},
+        {"gutter_fraction": float("nan")},
+        {"gutter_fraction": float("inf")},
+        {"delta": float("nan")},
+        {"io_retry_backoff_seconds": float("nan")},
+        {"io_retry_backoff_seconds": float("inf")},
+        {"io_breaker_reset_seconds": float("nan")},
+        {"io_breaker_reset_seconds": float("inf")},
+        {"io_deadline_seconds": float("nan")},
+    ],
+    ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_invalid_config_values_raise_configuration_error(overrides):
+    with pytest.raises(ConfigurationError):
+        GraphZeppelinConfig(**overrides)
+
+
+def test_buffering_accepts_mode_names():
+    config = GraphZeppelinConfig(buffering="gutter_tree")
+    assert config.buffering is BufferingMode.GUTTER_TREE
+
+
+@pytest.mark.parametrize(
+    "config, paged",
+    [
+        (GraphZeppelinConfig(), False),
+        (GraphZeppelinConfig(buffering=BufferingMode.NONE), False),
+        (GraphZeppelinConfig(ram_budget_bytes=4096), True),
+        (GraphZeppelinConfig(ram_budget_bytes=0, buffering=BufferingMode.NONE), True),
+        (GraphZeppelinConfig.out_of_core(4096, use_gutter_tree=True), True),
+    ],
+)
+def test_every_engine_holds_a_tensor_pool(config, paged):
+    gz = GraphZeppelin(32, config=config)
+    assert gz.tensor_pool is not None
+    assert gz.tensor_pool.is_paged is paged
+    gz.ingest_batch([(0, 1), (1, 2), (5, 6)])
+    gz.edge_update(2, 3)
+    forest = gz.list_spanning_forest()
+    assert forest.connected(0, 3) and forest.connected(5, 6)
+    assert not forest.connected(0, 5)

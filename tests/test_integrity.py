@@ -37,7 +37,7 @@ def _paged_config(**overrides) -> GraphZeppelinConfig:
 def _settle(engine) -> None:
     """Flush buffers, sync pages, persist the cache: byte tier authoritative."""
     engine.flush()
-    if engine.tensor_pool is not None and engine.tensor_pool.is_paged:
+    if engine.tensor_pool.is_paged:
         engine.tensor_pool.sync()
     engine.memory.flush()
 

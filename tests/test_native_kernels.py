@@ -1,17 +1,16 @@
 """Native kernel providers must be bit-identical to the numpy kernels.
 
-The compiled hot-kernel twins (``repro.kernels``: numba when installed,
-the runtime-compiled C library otherwise) are pure optimisations: under
-the same seed they must produce the *same bits* as the numpy path --
-same pool tensors, same forests, same Boruvka stats -- across
-packed/wide bucket modes, flat/paged pools, and
-serial/sharded/distributed ingest.  These tests assert exactly that,
-plus the dispatch plumbing (config validation, auto fallback,
-fingerprint exclusion).
+The compiled hot-kernel twins (``repro.kernels``: the runtime-compiled
+C library) are pure optimisations: under the same seed they must
+produce the *same bits* as the numpy path -- same pool tensors, same
+forests, same Boruvka stats -- across packed/wide bucket modes,
+flat/paged pools, and serial/sharded/distributed ingest.  These tests
+assert exactly that, plus the dispatch plumbing (config validation,
+auto fallback, fingerprint exclusion).
 
 The whole module skips -- not errors -- when no native provider is
-usable (no numba and no C toolchain): the numpy-only environment is a
-supported configuration and its suite must stay green.
+usable (no C toolchain): the numpy-only environment is a supported
+configuration and its suite must stay green.
 """
 
 from __future__ import annotations
@@ -53,14 +52,13 @@ def _random_edges(num_nodes: int, count: int, seed: int) -> np.ndarray:
 def _assert_same_engine_state(native: GraphZeppelin, reference: GraphZeppelin) -> None:
     reference.flush()
     native.flush()
-    if reference.tensor_pool is not None:
-        ref_alpha, ref_gamma = reference.tensor_pool.raw_tensors()
-        got_alpha, got_gamma = native.tensor_pool.raw_tensors()
-        assert np.array_equal(ref_alpha, got_alpha)
-        assert np.array_equal(
-            np.asarray(ref_gamma, dtype=np.uint64),
-            np.asarray(got_gamma, dtype=np.uint64),
-        )
+    ref_alpha, ref_gamma = reference.tensor_pool.raw_tensors()
+    got_alpha, got_gamma = native.tensor_pool.raw_tensors()
+    assert np.array_equal(ref_alpha, got_alpha)
+    assert np.array_equal(
+        np.asarray(ref_gamma, dtype=np.uint64),
+        np.asarray(got_gamma, dtype=np.uint64),
+    )
     ref_forest = reference.list_spanning_forest()
     got_forest = native.list_spanning_forest()
     assert got_forest.partition_signature() == ref_forest.partition_signature()
@@ -260,15 +258,22 @@ def test_paged_engine_bit_identical():
 
 
 def test_per_node_store_engine_bit_identical():
+    """The seed design's per-node blob store answers like the native engine."""
+    from repro.baselines.seed_store import SeedStore
+    from repro.memory.hybrid import HybridMemory
+
     num_nodes = 80
     edges = _random_edges(num_nodes, 900, seed=41)
-    kwargs = dict(seed=8, ram_budget_bytes=256_000, out_of_core_pool="per_node")
-    reference = _run_engine(num_nodes, edges, **kwargs)
-    native = _run_engine(num_nodes, edges, kernel_backend="native", **kwargs)
+    reference = SeedStore(num_nodes, seed=8, memory=HybridMemory(ram_bytes=256_000))
+    reference.ingest_batch(edges)
+    native = _run_engine(num_nodes, edges, seed=8, kernel_backend="native")
     ref_forest = reference.list_spanning_forest()
     got_forest = native.list_spanning_forest()
     assert got_forest.partition_signature() == ref_forest.partition_signature()
-    assert sorted(got_forest.edges) == sorted(ref_forest.edges)
+    assert got_forest.edges == ref_forest.edges
+    assert native.last_query_stats == reference.last_query_stats
+    for node in range(num_nodes):
+        assert native.node_sketch(node) == reference.node_sketch(node)
 
 
 @pytest.mark.parametrize("ram_budget", [None, 1 << 20])

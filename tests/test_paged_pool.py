@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.boruvka import sketch_spanning_forest
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
@@ -102,11 +103,19 @@ def test_paged_scalar_and_batched_ingest_agree(edges, seed):
     scalar.flush()
     _assert_pools_identical(batched.tensor_pool, scalar.tensor_pool)
     # The vectorized whole-round driver answers from the paged pool and
-    # agrees with the scalar per-component reference on the same state.
+    # agrees with the scalar per-component driver on the same engine.
     vec = batched.list_spanning_forest()
-    scalar.config.query_backend = "scalar"
-    ref = scalar.list_spanning_forest()
+    ref, ref_stats = sketch_spanning_forest(
+        batched.num_nodes,
+        batched.num_rounds,
+        batched.encoder,
+        lambda round_index, members: batched.tensor_pool.query_merged(
+            members, round_index
+        ),
+    )
     assert vec.partition_signature() == ref.partition_signature()
+    assert vec.edges == ref.edges
+    assert batched.last_query_stats == ref_stats
 
 
 @given(edges=edge_lists, seed=seeds, num_workers=st.sampled_from([1, 2, 3]))

@@ -323,12 +323,13 @@ def test_snapshot_leaves_no_temp_file(tmp_path, snapshot_file):
     engine.ingest_batch(np.asarray([[1, 2]]))
 
 
-def test_legacy_backend_cannot_snapshot(tmp_path):
-    engine = GraphZeppelin(
-        8, config=GraphZeppelinConfig(seed=1, sketch_backend="legacy")
+def test_sketch_fingerprint_is_pinned():
+    """Snapshots written by earlier versions must keep loading."""
+    assert GraphZeppelinConfig().sketch_fingerprint() == 0xE05A324C2524B5B6
+    assert (
+        GraphZeppelinConfig(seed=-1, delta=0.05).sketch_fingerprint()
+        == 0x86BD54BABD88E927
     )
-    with pytest.raises(ConfigurationError, match="tensor-pool"):
-        engine.save_snapshot(tmp_path / "nope.snap")
 
 
 def test_resume_with_stream_validation_rejected(snapshot_file):

@@ -4,11 +4,12 @@ The vectorized Boruvka driver (segmented XOR-reduce over the tensor
 pool + batched bucket decode) must return *exactly* what the
 per-component scalar reference returns under the same graph seed: the
 same spanning forest edge tuple, the same :class:`BoruvkaStats`, and
-the same per-component samples.  These tests drive both backends with
-identical random streams (hypothesis, mirroring
-``tests/test_flat_node_sketch.py``'s equivalence pattern), check the
-batched decoder against the scalar bucket scan, and cover the cached
-spanning forest's invalidation rules.
+the same per-component samples.  These tests run the engine's query and
+the scalar driver (``sketch_spanning_forest`` over
+``NodeTensorPool.query_merged``) on the same engine state for random
+streams (hypothesis, mirroring ``tests/test_flat_node_sketch.py``'s
+equivalence pattern), check the batched decoder against the scalar
+bucket scan, and cover the cached spanning forest's invalidation rules.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.seed_store import SeedStore
 from repro.core.boruvka import (
     batch_sampler_from_scalar,
     sketch_spanning_forest,
@@ -27,6 +29,7 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.core.streaming_cc import StreamingCC
 from repro.exceptions import ConfigurationError
+from repro.memory.hybrid import HybridMemory
 from repro.sketch.flat_node_sketch import query_bucket_arrays, query_bucket_arrays_batch
 from repro.sketch.sketch_base import OUTCOME_BY_CODE, SAMPLE_GOOD, SampleResult
 from repro.sketch.tensor_pool import NodeTensorPool
@@ -42,17 +45,25 @@ edge_lists = st.lists(
 )
 
 
-def _engine(seed: int, query_backend: str, edges, **overrides) -> GraphZeppelin:
-    config = GraphZeppelinConfig(
-        buffering=BufferingMode.NONE,
-        seed=seed,
-        query_backend=query_backend,
-        **overrides,
-    )
+def _engine(seed: int, edges, **overrides) -> GraphZeppelin:
+    config = GraphZeppelinConfig(buffering=BufferingMode.NONE, seed=seed, **overrides)
     engine = GraphZeppelin(NUM_NODES, config=config)
     if edges:
         engine.ingest_batch(np.asarray(edges, dtype=np.int64))
     return engine
+
+
+def _scalar_sampler(engine: GraphZeppelin):
+    """The per-component cut sampler over the engine's own pool."""
+    return lambda round_index, members: engine.tensor_pool.query_merged(
+        members, round_index
+    )
+
+
+def _scalar_reference(engine: GraphZeppelin):
+    return sketch_spanning_forest(
+        engine.num_nodes, engine.num_rounds, engine.encoder, _scalar_sampler(engine)
+    )
 
 
 def _sample_of(status: int, index: int) -> SampleResult:
@@ -65,14 +76,13 @@ def _sample_of(status: int, index: int) -> SampleResult:
 @given(edges=edge_lists, seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed):
-    scalar = _engine(seed, "scalar", edges)
-    vectorized = _engine(seed, "vectorized", edges)
-    forest_s = scalar.list_spanning_forest()
-    forest_v = vectorized.list_spanning_forest()
+    engine = _engine(seed, edges)
+    forest_v = engine.list_spanning_forest()
+    forest_s, stats_s = _scalar_reference(engine)
     assert forest_v.edges == forest_s.edges
     assert forest_v.complete == forest_s.complete
     assert forest_v.partition_signature() == forest_s.partition_signature()
-    assert vectorized.last_query_stats == scalar.last_query_stats
+    assert engine.last_query_stats == stats_s
 
 
 @given(edges=edge_lists, seed=seeds, data=st.data())
@@ -183,54 +193,50 @@ def test_streaming_cc_vectorized_matches_scalar(edges, seed):
 
 
 def test_vectorized_driver_via_scalar_adapter_matches_reference():
-    """The adapter path (used by object-store backends) is also identical."""
-    engine = _engine(21, "scalar", [(0, 1), (1, 2), (4, 5), (6, 7), (2, 3)])
-    forest_s, stats_s = sketch_spanning_forest(
-        engine.num_nodes,
-        engine.num_rounds,
-        engine.encoder,
-        engine._component_cut_sample,
-    )
+    """The adapter path (per-component samplers) is also identical."""
+    engine = _engine(21, [(0, 1), (1, 2), (4, 5), (6, 7), (2, 3)])
+    forest_s, stats_s = _scalar_reference(engine)
     forest_v, stats_v = vectorized_spanning_forest(
         engine.num_nodes,
         engine.num_rounds,
         engine.encoder,
-        batch_sampler_from_scalar(engine._component_cut_sample),
+        batch_sampler_from_scalar(_scalar_sampler(engine)),
     )
     assert forest_v.edges == forest_s.edges
     assert stats_v == stats_s
 
 
 def test_out_of_core_engine_uses_vectorized_driver_via_adapter():
-    """The per-node reference store (no tensor pool) answers identically."""
+    """The seed design's per-node blob store answers like the engine."""
     edges = [(0, 1), (1, 2), (3, 4), (5, 6), (2, 3)]
-    in_ram = _engine(33, "vectorized", edges)
-    budgeted = GraphZeppelin(
-        NUM_NODES,
-        config=GraphZeppelinConfig.out_of_core(
-            ram_budget_bytes=64 * 1024, seed=33, query_backend="vectorized",
-            out_of_core_pool="per_node",
-        ),
-    )
+    in_ram = _engine(33, edges)
+    baseline = SeedStore(NUM_NODES, seed=33, memory=HybridMemory(ram_bytes=64 * 1024))
     for u, v in edges:
-        budgeted.edge_update(u, v)
-    assert budgeted._pool is None  # really exercising the adapter path
-    assert budgeted.list_spanning_forest().edges == in_ram.list_spanning_forest().edges
+        baseline.edge_update(u, v)
+    expected = in_ram.list_spanning_forest()
+    assert baseline.list_spanning_forest().edges == expected.edges
+    assert baseline.last_query_stats == in_ram.last_query_stats
+    assert baseline.io_stats.total_ios > 0  # the blobs really went through the device
+    forest_v, _stats = vectorized_spanning_forest(
+        baseline.num_nodes,
+        baseline.num_rounds,
+        baseline.encoder,
+        batch_sampler_from_scalar(baseline._cut_sample),
+    )
+    assert forest_v.edges == expected.edges
 
 
 def test_out_of_core_paged_engine_runs_the_pool_query_driver():
     """The default RAM-budgeted engine holds a paged pool, no adapter."""
     edges = [(0, 1), (1, 2), (3, 4), (5, 6), (2, 3)]
-    in_ram = _engine(33, "vectorized", edges)
+    in_ram = _engine(33, edges)
     budgeted = GraphZeppelin(
         NUM_NODES,
-        config=GraphZeppelinConfig.out_of_core(
-            ram_budget_bytes=64 * 1024, seed=33, query_backend="vectorized"
-        ),
+        config=GraphZeppelinConfig.out_of_core(ram_budget_bytes=64 * 1024, seed=33),
     )
     for u, v in edges:
         budgeted.edge_update(u, v)
-    assert budgeted._pool is not None and budgeted._pool.is_paged
+    assert budgeted.tensor_pool.is_paged
     assert budgeted.list_spanning_forest().edges == in_ram.list_spanning_forest().edges
 
 
@@ -238,7 +244,7 @@ def test_out_of_core_paged_engine_runs_the_pool_query_driver():
 # cached spanning forest
 # ----------------------------------------------------------------------
 def test_forest_is_cached_between_queries():
-    engine = _engine(3, "vectorized", [(0, 1), (1, 2), (5, 6)])
+    engine = _engine(3, [(0, 1), (1, 2), (5, 6)])
     first = engine.list_spanning_forest()
     assert engine.list_spanning_forest() is first
     assert engine.spanning_forest() is first
@@ -250,9 +256,7 @@ def test_forest_is_cached_between_queries():
 
 @pytest.mark.parametrize("mutate", ["edge_update", "insert", "ingest_batch"])
 def test_forest_cache_invalidated_by_ingest(mutate):
-    engine = _engine(
-        7, "vectorized", [(0, 1), (1, 2)], validate_stream=(mutate == "insert")
-    )
+    engine = _engine(7, [(0, 1), (1, 2)], validate_stream=(mutate == "insert"))
     before = engine.list_spanning_forest()
     assert not before.connected(0, 5)
     if mutate == "edge_update":
@@ -268,9 +272,7 @@ def test_forest_cache_invalidated_by_ingest(mutate):
 
 def test_forest_cache_invalidated_by_buffered_ingest():
     """Updates sitting in the gutters must invalidate the cache too."""
-    config = GraphZeppelinConfig(
-        buffering=BufferingMode.LEAF_GUTTERS, seed=5, query_backend="vectorized"
-    )
+    config = GraphZeppelinConfig(buffering=BufferingMode.LEAF_GUTTERS, seed=5)
     engine = GraphZeppelin(NUM_NODES, config=config)
     engine.edge_update(0, 1)
     before = engine.list_spanning_forest()
@@ -282,13 +284,12 @@ def test_forest_cache_invalidated_by_buffered_ingest():
 
 
 def test_scalar_backend_also_caches_and_agrees():
-    scalar = _engine(11, "scalar", [(0, 1), (2, 3)])
-    vectorized = _engine(11, "vectorized", [(0, 1), (2, 3)])
-    assert scalar.list_spanning_forest() is scalar.list_spanning_forest()
-    assert (
-        scalar.list_spanning_forest().edges
-        == vectorized.list_spanning_forest().edges
-    )
+    """The cached forest still equals a fresh scalar-driver answer."""
+    engine = _engine(11, [(0, 1), (2, 3)])
+    assert engine.list_spanning_forest() is engine.list_spanning_forest()
+    forest_s, stats_s = _scalar_reference(engine)
+    assert engine.list_spanning_forest().edges == forest_s.edges
+    assert engine.last_query_stats == stats_s
 
 
 def test_unknown_query_backend_rejected():
