@@ -62,8 +62,9 @@ class GraphZeppelinConfig:
     num_shards:
         Node-range count of the sharded parallel ingest layer.  ``None``
         (default) picks the smallest count that keeps every shard inside
-        the fold kernel's int16 radix fast path, rounded up to a
-        multiple of ``num_workers``.
+        one radix span of the fold kernel
+        (:func:`~repro.sketch.tensor_pool.auto_num_shards`), rounded up
+        to a multiple of ``num_workers``.
     validate_stream:
         When true, the engine tracks the exact current edge set and
         rejects illegal updates (inserting a present edge / deleting an

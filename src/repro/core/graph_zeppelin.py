@@ -801,8 +801,9 @@ class GraphZeppelin:
         """Node-group boundaries the buffering layer collects columns by.
 
         The paged pool's own page boundaries out of core, and
-        radix-span-sized node groups for the in-RAM pool (so an emitted
-        column folds through the kernel's int16 fast path in one pass).
+        radix-span-sized node groups for the in-RAM pool (the ranges of
+        :func:`~repro.sketch.tensor_pool.auto_num_shards`, so an emitted
+        column folds in one radix pass over a cache-sized slab).
         """
         if self._pool.is_paged:
             return self._pool.page_bounds
@@ -853,9 +854,8 @@ class GraphZeppelin:
         A flush can emit hundreds of page batches at once (one per
         gutter); folding them one by one would pay the kernel's fixed
         cost per page.  The page columns are concatenated and handed to
-        the pool as **one** mixed column -- the pool's fold planner then
-        picks per-page radix folds or a single combined fold, whichever
-        is cheaper for the batch shape.
+        the pool as **one** mixed column (a paged pool then folds it
+        page by page).
         """
         page_batches = [b for b in batches if len(b) > 0]
         if len(page_batches) == 1:

@@ -5,8 +5,8 @@ This is the stream-parallel complement of the node-sharded layer in
 space* of one pool across workers, the *stream* is partitioned
 round-robin across ``num_ingestors`` worker **processes**, each of
 which builds a complete, independent engine over its sub-stream (using
-the sharded columnar pipeline internally, so every worker keeps the
-int16-radix fold fast path), snapshots its pool, and exits.  The
+the sharded columnar pipeline internally, so every worker folds
+cache-sized shard groups), snapshots its pool, and exits.  The
 coordinator XOR-merges each snapshot the moment its worker finishes --
 by sketch linearity, the final pool is bit-identical to serially
 ingesting the whole stream, in *any* merge order.
@@ -99,8 +99,8 @@ def _worker_ingest(task: Tuple) -> None:
 
     Runs in a worker process under the supervisor.  The engine ingests
     through the sharded columnar pipeline when it holds a flat in-RAM
-    pool (the shard-local fold keeps numpy's int16 radix sort even at
-    one worker thread); paged pools ingest serially in chunks -- their
+    pool (cache-sized shard groups fold faster than one whole-graph
+    column even at one worker thread); paged pools ingest serially in chunks -- their
     fold planner already batches per page.  The snapshot records
     ``stream_offset=0``: a worker's pool is a *slice*, not a prefix,
     and only the merged total is meaningful.

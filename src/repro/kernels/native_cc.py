@@ -435,7 +435,7 @@ class CcKernels:
         """Fold one page's column into its pinned tensors (paged pool)."""
         idx = _as_u64(indices)
         dst = _as_i64(local_dsts)
-        offsets = pool._combined_offsets
+        offsets = pool._page_slot_offsets
         if pool._packed:
             self._lib.repro_fold_packed(
                 _u64(entry[0]), _u64(idx), _i64(dst), idx.size,

@@ -21,9 +21,10 @@ construction, and because bucket updates are XOR-folds the shard-local
 application order is irrelevant -- the resulting pool is bit-identical
 to serial :meth:`~repro.core.graph_zeppelin.GraphZeppelin.ingest_batch`
 under the same seed.  Shard node ranges are also sized (see
-:func:`~repro.sketch.tensor_pool.auto_num_shards`) so the fold kernel's
-int16 radix fast path applies, which makes sharded ingest faster than
-the serial columnar path even on a single core.
+:func:`~repro.sketch.tensor_pool.auto_num_shards`) to one radix span of
+the fold kernel: a span-sized group sorts in one radix pass and
+scatters into a cache-sized slab, which makes sharded ingest faster
+than the serial columnar path even on a single core.
 
 Two execution backends implement the fold step
 (``GraphZeppelinConfig.parallel_backend``):
@@ -117,9 +118,8 @@ def partition_mirrored_updates(
     num_edges = lo.size
     dsts = np.concatenate([lo, hi])
     shard_ids = np.searchsorted(bounds, dsts, side="right") - 1
-    # Shard counts are node counts at most, so the ids fit int16 for
-    # any graph the int16 fold fast path itself supports -- which keeps
-    # the grouping argsort on numpy's radix sort.
+    # Shard ids that fit an int16 keep the grouping argsort on numpy's
+    # radix sort.
     sort_ids = (
         shard_ids.astype(np.int16) if num_shards <= np.iinfo(np.int16).max else shard_ids
     )
@@ -197,11 +197,11 @@ class ShardedIngestor:
         Concurrent shard workers (default ``engine.config.num_workers``).
     num_shards:
         Node-range count (default ``engine.config.num_shards``, or an
-        automatic count sized so every shard gets the fold kernel's
-        int16 radix fast path).  May exceed ``num_workers``; workers
-        pick up shard groups as they free up.  Over a paged pool shard
-        boundaries snap to page boundaries and the count is capped at
-        the page count.
+        automatic count sized so every shard spans at most one radix
+        span of the fold kernel).  Must be at least 1.  May exceed
+        ``num_workers``; workers pick up shard groups as they free up.
+        Over a paged pool shard boundaries snap to page boundaries and
+        the count is capped at the page count.
     backend:
         ``"threads"`` or ``"processes"`` (default
         ``engine.config.parallel_backend``).
@@ -243,6 +243,8 @@ class ShardedIngestor:
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be at least 1")
         shards = num_shards if num_shards is not None else engine.config.num_shards
+        if shards is not None and shards < 1:
+            raise ConfigurationError("num_shards must be at least 1")
         if shards is None and not self.paged:
             shards = auto_num_shards(engine.num_nodes, pool.num_rows, self.num_workers)
         if self.paged:
@@ -254,7 +256,7 @@ class ShardedIngestor:
             num_pages = pool.num_pages
             if shards is None:
                 shards = min(num_pages, 4 * self.num_workers)
-            shards = max(1, min(int(shards), num_pages))
+            shards = min(int(shards), num_pages)
             page_cuts = (
                 np.arange(shards + 1, dtype=np.int64) * np.int64(num_pages)
             ) // np.int64(shards)
@@ -262,8 +264,6 @@ class ShardedIngestor:
             self.num_shards = int(shards)
         else:
             self.num_shards = int(shards)
-            if self.num_shards < 1:
-                raise ConfigurationError("num_shards must be at least 1")
             self.bounds = shard_bounds(engine.num_nodes, self.num_shards)
         if max_queued_bytes is None:
             max_queued_bytes = DEFAULT_MAX_QUEUED_BYTES

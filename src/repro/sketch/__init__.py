@@ -20,7 +20,7 @@ On top of the samplers sits the columnar sketch engine:
 
 * :class:`repro.sketch.flat_node_sketch.FlatNodeSketch` -- one node's
   entire bundle of per-round CubeSketches flattened into two contiguous
-  uint64 tensors, updated by a single hash-matrix + argsort +
+  uint64 tensors, updated by a single hash-matrix + radix sort +
   XOR-prefix-scan kernel instead of Python loops over rounds and
   columns (bit-identical to the legacy bundles under the same seed);
 * :class:`repro.sketch.tensor_pool.NodeTensorPool` -- the whole graph's
@@ -30,7 +30,7 @@ On top of the samplers sits the columnar sketch engine:
 * :class:`repro.sketch.paged_pool.PagedTensorPool` -- the out-of-core
   twin: the same round-major tensors partitioned into node-group pages
   stored through the hybrid memory, with an LRU-pinned working set,
-  dirty write-back, per-page or combined folds, and round slabs
+  dirty write-back, page-by-page folds, and round slabs
   assembled via partial-range reads.
 """
 

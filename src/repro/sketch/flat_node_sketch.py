@@ -12,9 +12,13 @@ hash seed into one seed matrix, so a batch of ``K`` edge-slot indices is
 1. hashed **once** as a ``(K, rounds x columns)`` matrix
    (:func:`~repro.hashing.mixers.seeded_hash64_matrix`),
 2. mapped to bucket depths with one vectorised pass, and
-3. folded into every bucket with a single argsort + cumulative-XOR
-   prefix scan over the flattened update set
-   (:func:`columnar_fold`).
+3. folded into every bucket with one cumulative-XOR prefix scan over
+   the update set, sorted per (round, column) slot into (destination,
+   deepest first) order by numpy's int16 radix sort
+   (:func:`columnar_fold` / :func:`fold_hashed`).  The sort has one
+   path for every batch: a single destination, a shard-sized node
+   range, or the whole graph (which adds a stable partition pass; see
+   :func:`max_radix_dst_span`).
 
 The arithmetic is bit-for-bit identical to the legacy path: the seeds
 are derived with the same labels, the hashes are the same functions, and
@@ -189,13 +193,15 @@ def hash_depths_checksums(
 
 
 def max_radix_dst_span(num_rows: int) -> int:
-    """Widest destination-node span the int16 fold fast path supports.
+    """Destinations one int16 radix pass of :func:`fold_hashed` orders.
 
-    The multi-destination fast path of :func:`fold_hashed` sorts each
-    slot column by the composite key
-    ``(dst - dst_min) * (num_rows + 1) + inverted_depth``, which must
-    fit in an int16 for numpy's radix sort to apply.  Shard planners
-    size their node ranges against this bound.
+    The fold sorts each slot column by the composite key
+    ``(dst - dst_min) % span * (num_rows + 1) + inverted_depth``, which
+    must fit in an int16 for numpy's radix sort to apply; a batch
+    spanning more nodes than this takes a second (partition) pass.
+    Shard planners and the in-RAM gutters size their node ranges
+    against this bound (see
+    :func:`~repro.sketch.tensor_pool.auto_num_shards`).
     """
     return max((np.iinfo(np.int16).max - num_rows) // (num_rows + 1), 1)
 
@@ -211,6 +217,15 @@ def fold_hashed(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduction phase of the fold kernel (see :func:`columnar_fold`).
 
+    Every batch takes the same exact sort: each slot column is
+    stable-sorted into (destination, deepest update first) order by an
+    int16 radix pass on ``(dst - dst_min) % span`` and the inverted
+    depth (``span`` is :func:`max_radix_dst_span`), followed -- only when
+    the batch spans more than one ``span``-wide partition -- by a stable
+    radix pass on the partition id ``(dst - dst_min) // span``.  A
+    ``dsts=None`` batch is the one-partition case of a single
+    destination.
+
     ``dst_stride`` and ``slot_offsets`` let a multi-destination caller
     relocate bucket ``(dst, slot)`` to segment
     ``dst * dst_stride + slot_offsets[slot]`` instead of the default
@@ -221,113 +236,49 @@ def fold_hashed(
     idx = indices.astype(np.uint64, copy=False)
     k = idx.size
     num_slots = depths.shape[1]
-
     slot_ids = np.arange(num_slots, dtype=np.int64)
-    # Custom slot offsets must ascend with the slot id so that the
-    # per-slot fast path's slot-order emission still matches the flat
-    # composite-key sort order.
     offsets = slot_ids if slot_offsets is None else slot_offsets
-    dst_arr = dst_min = None
-    if dsts is not None:
-        dst_arr = np.asarray(dsts).astype(np.int64, copy=False)
-        dst_min = int(dst_arr.min())
-        if int(dst_arr.max()) - dst_min > max_radix_dst_span(num_rows) - 1:
-            dst_arr = None
-    if dsts is None and num_rows < np.iinfo(np.int16).max:
-        # Single-destination batch: every slot is one segment holding
-        # exactly ``k`` updates, so the composite (segment, inverted
-        # depth) key collapses to the inverted depth alone -- an int16.
-        # Sorting each slot column independently lets numpy use its
-        # radix sort for short integers (~7x faster than argsorting the
-        # flat int64 composite key) and the segment structure is known
-        # without decoding any keys.  The (S, K) key buffer comes from
-        # the per-thread scratch arena (it never escapes this call) and
-        # the subtract writes it directly, skipping the int64
-        # intermediate the expression form would materialise.
-        inv_depth = fold_scratch("key16", (num_slots, k), np.int16)
-        np.subtract(np.int64(num_rows), depths.T, out=inv_depth, casting="unsafe")
-        order_rows = np.argsort(inv_depth, axis=1, kind="stable")
-        sorted_depth = np.int64(num_rows) - np.take_along_axis(
-            inv_depth, order_rows, axis=1
-        ).ravel().astype(np.int64)
-        # Column s's entries live at flat positions k_i * S + s of the
-        # row-major (K, S) matrices; emitting columns in slot order
-        # reproduces the flat composite-key sort order exactly.
-        order = (order_rows * np.int64(num_slots) + slot_ids[:, None]).ravel()
-        sorted_seg = np.repeat(offsets, k)
-        total = k * num_slots
-        new_seg = np.zeros(total, dtype=bool)
-        new_seg[::k] = True
-    elif dst_arr is not None:
-        # Multi-destination batch over a narrow node range (a shard):
-        # the composite (node-local destination, inverted depth) key
-        # fits an int16, so each slot column sorts with the same radix
-        # fast path the single-destination branch uses.  This is what
-        # makes sharded ingest faster than the flat int64 argsort even
-        # before any threads join in; the shard planner picks node
-        # ranges no wider than :func:`max_radix_dst_span`.
-        stride = num_slots if dst_stride is None else int(dst_stride)
-        dloc = dst_arr - np.int64(dst_min)
-        # Same arena-backed (S, K) key buffer as the single-destination
-        # branch: inverted depth written in place, then the node-local
-        # destination term added broadcast per column.
-        key16 = fold_scratch("key16", (num_slots, k), np.int16)
-        np.subtract(np.int64(num_rows), depths.T, out=key16, casting="unsafe")
-        key16 += (dloc * np.int64(num_rows + 1)).astype(np.int16)[None, :]
-        order_rows = np.argsort(key16, axis=1, kind="stable")
-        sorted_key = (
-            np.take_along_axis(key16, order_rows, axis=1).astype(np.int64).ravel()
-        )
-        sorted_dloc = sorted_key // (num_rows + 1)
-        sorted_depth = np.int64(num_rows) - (
-            sorted_key - sorted_dloc * (num_rows + 1)
-        )
-        order = (order_rows.astype(np.int64) * num_slots + slot_ids[:, None]).ravel()
-        sorted_seg = np.repeat(offsets, k) + (sorted_dloc + np.int64(dst_min)) * stride
-        total = k * num_slots
-        # A segment boundary is a destination change within a slot
-        # column or the start of the next column (``[::k]``).
-        new_seg = np.empty(total, dtype=bool)
-        new_seg[0] = True
-        np.not_equal(sorted_dloc[1:], sorted_dloc[:-1], out=new_seg[1:])
-        new_seg[::k] = True
-    else:
-        # Composite sort key: (destination, slot) segment-major, deepest
-        # updates first within a segment.  depth is in [1, num_rows], so
-        # (num_rows - depth) orders a segment's updates descending by
-        # depth without colliding across segments.
-        if dsts is None:
-            seg = np.broadcast_to(offsets, (k, num_slots))
-        else:
-            stride = num_slots if dst_stride is None else int(dst_stride)
-            seg = dsts.astype(np.int64, copy=False)[:, None] * stride + offsets
-        key = (seg * (num_rows + 1) + (np.int64(num_rows) - depths)).ravel()
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        sorted_seg = sorted_key // (num_rows + 1)
-        sorted_depth = np.int64(num_rows) - (sorted_key - sorted_seg * (num_rows + 1))
-        total = sorted_key.size
-        new_seg = np.empty(total, dtype=bool)
-        new_seg[0] = True
-        np.not_equal(sorted_seg[1:], sorted_seg[:-1], out=new_seg[1:])
+    stride = num_slots if dst_stride is None else int(dst_stride)
+    dst_arr = np.zeros(k, np.int64) if dsts is None else np.asarray(dsts, np.int64)
+    dst_min = int(dst_arr.min())
+    dloc = dst_arr - np.int64(dst_min)
+    span = max_radix_dst_span(num_rows)
+    num_parts = int(dloc.max()) // span + 1
 
-    cum_alpha = np.bitwise_xor.accumulate(
-        np.broadcast_to(idx[:, None], (k, num_slots)).ravel()[order]
-    )
-    cum_gamma = np.bitwise_xor.accumulate(checksums.ravel()[order])
+    # The (S, K) key buffer comes from the per-thread scratch arena (it
+    # never escapes this call): inverted depth written in place, then
+    # the in-partition destination term added broadcast per column.
+    key16 = fold_scratch("key16", (num_slots, k), np.int16)
+    np.subtract(np.int64(num_rows), depths.T, out=key16, casting="unsafe")
+    key16 += ((dloc % span) * np.int64(num_rows + 1)).astype(np.int16)[None, :]
+    order_rows = np.argsort(key16, axis=1, kind="stable")
+    if num_parts > 1:
+        # LSD radix: a stable pass on the partition id keeps each
+        # partition's (destination, depth) order from the first pass.
+        part_type = np.int16 if num_parts <= np.iinfo(np.int16).max + 1 else np.int32
+        by_part = np.argsort(
+            (dloc // span).astype(part_type)[order_rows], axis=1, kind="stable"
+        )
+        order_rows = np.take_along_axis(order_rows, by_part, axis=1)
+    inv_depth = np.take_along_axis(key16, order_rows, axis=1) % np.int16(num_rows + 1)
+    sorted_depth = num_rows - inv_depth.astype(np.int64).ravel()
+    sorted_dloc = dloc[order_rows].ravel()
+    total = k * num_slots
+    # A segment boundary is a destination change within a slot column
+    # or the start of the next column (``[::k]``).
+    new_seg = np.empty(total, dtype=bool)
+    new_seg[0] = True
+    np.not_equal(sorted_dloc[1:], sorted_dloc[:-1], out=new_seg[1:])
+    new_seg[::k] = True
 
-    # Cumulative XOR runs over the whole sorted array; each segment's
-    # fold needs the scan *restarted* at its start, which XOR's
-    # self-inverse gives for free: subtract (XOR) the prefix just before
-    # the segment.
-    seg_starts = np.flatnonzero(new_seg)
-    seg_index = np.cumsum(new_seg) - 1
-    prefix_alpha = np.where(
-        seg_starts > 0, cum_alpha[np.maximum(seg_starts - 1, 0)], _ZERO64
-    )[seg_index]
-    prefix_gamma = np.where(
-        seg_starts > 0, cum_gamma[np.maximum(seg_starts - 1, 0)], _ZERO64
-    )[seg_index]
+    # Inclusive prefix XORs, shifted by one: cum[p + 1] covers sorted
+    # entries [0, p] and cum[0] is zero.  Column s's checksums live at
+    # flat positions k_i * S + s of the row-major (K, S) matrix.
+    order = (order_rows.astype(np.int64) * num_slots + slot_ids[:, None]).ravel()
+    cum_alpha = np.zeros(total + 1, dtype=np.uint64)
+    cum_gamma = np.zeros(total + 1, dtype=np.uint64)
+    np.bitwise_xor.accumulate(idx[order_rows].ravel(), out=cum_alpha[1:])
+    np.bitwise_xor.accumulate(checksums.ravel()[order], out=cum_gamma[1:])
 
     # Element p (depth d_p) is the newest member of bucket rows
     # [next_depth, d_p) of its segment, where next_depth is the depth of
@@ -338,13 +289,18 @@ def fold_hashed(
     next_depth[-1] = 0
     np.copyto(next_depth[:-1], np.where(new_seg[1:], 0, sorted_depth[1:]))
     runs = sorted_depth - next_depth
-
-    emit = runs > 0
+    emit = np.flatnonzero(runs > 0)
     runs = runs[emit]
-    emit_seg = sorted_seg[emit]
     emit_base = next_depth[emit]
-    emit_alpha = cum_alpha[emit] ^ prefix_alpha[emit]
-    emit_gamma = cum_gamma[emit] ^ prefix_gamma[emit]
+    emit_seg = offsets[emit // k] + (sorted_dloc[emit] + np.int64(dst_min)) * stride
+
+    # Cumulative XOR runs over the whole sorted array; each segment's
+    # fold needs the scan *restarted* at its start, which XOR's
+    # self-inverse gives for free: subtract (XOR) the prefix just before
+    # the segment.
+    emit_start = np.flatnonzero(new_seg)[np.cumsum(new_seg)[emit] - 1]
+    emit_alpha = cum_alpha[emit + 1] ^ cum_alpha[emit_start]
+    emit_gamma = cum_gamma[emit + 1] ^ cum_gamma[emit_start]
 
     run_starts = np.cumsum(runs) - runs
     rows = np.arange(int(runs.sum()), dtype=np.int64) - np.repeat(run_starts, runs)
@@ -368,8 +324,8 @@ def columnar_fold(
     Hashes ``K`` edge-slot ``indices`` against all ``S`` (round, column)
     hash functions as one ``(K, S)`` matrix, computes bucket depths
     vectorised, and reduces every bucket's XOR contribution with a
-    single argsort + cumulative-XOR prefix scan over the flattened
-    ``K x S`` update set.
+    per-slot radix sort + one cumulative-XOR prefix scan over the
+    ``K x S`` update set (:func:`fold_hashed`).
 
     When ``dsts`` is given (one destination node per update), updates
     for *all* nodes are folded in the same pass: the sort key simply

@@ -26,7 +26,7 @@ overrides the slab/bundle accessors -- so
 :func:`~repro.core.boruvka.vectorized_spanning_forest` is the single
 query driver for in-RAM and out-of-core engines alike.
 
-Because every fold is the same hash + argsort + XOR kernel over the
+Because every fold is the same hash + radix sort + XOR kernel over the
 same seeds and XOR folding is order-independent, a paged pool fed any
 interleaving of the same updates holds buckets **bit-identical** to the
 in-RAM pool (property-tested across RAM budgets, page sizes, and
@@ -56,7 +56,7 @@ the parent pool's contract: fold, publish, then query.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import (
     fold_hashed,
     hash_depths_checksums,
-    max_radix_dst_span,
     validate_indices,
 )
 from repro.sketch.tensor_pool import NodeTensorPool, auto_fold_chunk
@@ -78,14 +77,6 @@ from repro.sketch.tensor_pool import NodeTensorPool, auto_fold_chunk
 #: fit modest RAM budgets.
 DEFAULT_PAGE_TARGET_BLOCKS = 16
 
-#: Mean updates per touched page below which a fold batch runs through
-#: the *combined* kernel path (one fold over every page at once, split
-#: only for the scatter) instead of one int16-radix fold per page.  The
-#: radix path is ~2.5x faster per element, but each per-page call pays
-#: a fixed kernel setup cost, so sparse batches -- few updates landing
-#: on each page, the out-of-core common case -- win by folding once.
-COMBINED_FOLD_THRESHOLD = 256
-
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
@@ -94,7 +85,6 @@ def plan_page_bounds(
     num_nodes: int,
     node_bytes: int,
     block_size: int,
-    num_rows: int,
     nodes_per_page: Optional[int] = None,
     target_blocks: int = DEFAULT_PAGE_TARGET_BLOCKS,
 ) -> np.ndarray:
@@ -102,14 +92,14 @@ def plan_page_bounds(
 
     Pages hold ``nodes_per_page`` nodes (the tail page may be smaller).
     The automatic size targets ``target_blocks`` device blocks of
-    payload per page and is clamped to
-    :func:`~repro.sketch.flat_node_sketch.max_radix_dst_span` so every
-    page-local fold stays on the kernel's int16 radix fast path.
-    Returns ``num_pages + 1`` ascending boundaries.
+    payload per page.  Any page width folds exactly: a page wider than
+    :func:`~repro.sketch.flat_node_sketch.max_radix_dst_span` nodes
+    just takes the fold kernel's partition pass.  Returns
+    ``num_pages + 1`` ascending boundaries.
     """
     if nodes_per_page is None:
         nodes_per_page = max(1, (target_blocks * block_size) // max(node_bytes, 1))
-    nodes_per_page = int(min(max(nodes_per_page, 1), max_radix_dst_span(num_rows)))
+    nodes_per_page = int(max(nodes_per_page, 1))
     bounds = np.arange(0, num_nodes + nodes_per_page, nodes_per_page, dtype=np.int64)
     bounds[-1] = num_nodes
     if bounds.size >= 2 and bounds[-1] == bounds[-2]:
@@ -176,15 +166,14 @@ class PagedTensorPool(NodeTensorPool):
             self.num_nodes,
             self._node_payload_bytes,
             memory.block_size,
-            self.num_rows,
             nodes_per_page=nodes_per_page,
         )
         self.num_pages = int(self.page_bounds.size - 1)
         self.nodes_per_page = int(self.page_bounds[1] - self.page_bounds[0])
         # Pages are *uniform*: the tail page's tensor is padded to the
-        # full node count (unused node rows stay zero).  Uniform shapes
-        # keep the combined fold's affine target mapping exact and make
-        # every payload the same whole number of device blocks.
+        # full node count (unused node rows stay zero), so every page
+        # shares one fold segment mapping and every payload is the same
+        # whole number of device blocks.
         raw_bytes = self.nodes_per_page * self._node_payload_bytes
         block = memory.block_size
         self._page_bytes = -(-raw_bytes // block) * block
@@ -198,17 +187,13 @@ class PagedTensorPool(NodeTensorPool):
         self._working_set_reserved = memory.reserve(
             self.resident_pages * self._page_bytes
         )
-        # Combined-fold segment mapping (see _fold_columns): remapped
-        # destination d' = (d // npp) * rounds * npp + d % npp makes the
-        # page-pool-flat bucket offset affine in d', so one kernel call
-        # covers updates for every page.
+        # Page-local fold segment mapping: bucket (local dst, slot) of
+        # the slot-major kernel lands at round-major page segment
+        # local_dst * num_columns + _page_slot_offsets[slot].
         slots = np.arange(self.num_slots, dtype=np.int64)
-        self._combined_offsets = (slots // self.num_columns) * (
+        self._page_slot_offsets = (slots // self.num_columns) * (
             self.nodes_per_page * self.num_columns
         ) + (slots % self.num_columns)
-        self._page_elems = (
-            self.num_rounds * self.nodes_per_page * self.num_columns * self.num_rows
-        )
 
         self._lock = threading.RLock()
         #: page -> bucket tensor (packed) or (alpha, gamma) pair (wide);
@@ -472,20 +457,14 @@ class PagedTensorPool(NodeTensorPool):
     # ------------------------------------------------------------------
     # folds (updates)
     # ------------------------------------------------------------------
-    def _split_by_page(
-        self,
-        dsts: np.ndarray,
-        columns: Sequence[np.ndarray],
-        pages: Optional[np.ndarray] = None,
-    ) -> List[Tuple[int, List[np.ndarray]]]:
-        """Group update columns by the page owning each destination.
+    def _split_by_page(self, dsts: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        """Group a destination column by the page owning each destination.
 
-        Returns ``(page, [dsts_group, *column_groups])`` tuples; one
-        radix argsort of the (small-int) page ids groups the whole
+        Returns ``(page, rows)`` tuples, ``rows`` indexing the column;
+        one radix argsort of the (small-int) page ids groups the whole
         batch, mirroring the sharded partition step.
         """
-        if pages is None:
-            pages = np.searchsorted(self.page_bounds, dsts, side="right") - 1
+        pages = np.searchsorted(self.page_bounds, dsts, side="right") - 1
         if self.num_pages <= np.iinfo(np.int16).max:
             order = np.argsort(pages.astype(np.int16), kind="stable")
         else:
@@ -495,13 +474,10 @@ class PagedTensorPool(NodeTensorPool):
             np.concatenate([[True], sorted_pages[1:] != sorted_pages[:-1]])
         )
         ends = np.append(cuts[1:], dsts.size)
-        groups = []
-        for start, stop in zip(cuts.tolist(), ends.tolist()):
-            rows = order[start:stop]
-            groups.append(
-                (int(sorted_pages[start]), [dsts[rows]] + [col[rows] for col in columns])
-            )
-        return groups
+        return [
+            (int(sorted_pages[start]), order[start:stop])
+            for start, stop in zip(cuts.tolist(), ends.tolist())
+        ]
 
     def _scatter_into_page(
         self,
@@ -528,10 +504,8 @@ class PagedTensorPool(NodeTensorPool):
     ) -> None:
         """Pin one page and fold a mixed-node column into it.
 
-        The *dense* fold path: the whole column targets one page, so
-        its node-local destination span fits the kernel's int16 radix
-        fast path.  ``indices`` must already be validated uint64 edge
-        slots inside the page's node range.  When ``depths`` /
+        ``indices`` must already be validated uint64 edge slots whose
+        destinations lie inside the page's node range.  When ``depths`` /
         ``checksums`` are given the hash phase is assumed done (the
         sharded thread path); otherwise each chunk hashes inline.
         """
@@ -570,77 +544,13 @@ class PagedTensorPool(NodeTensorPool):
                     self.num_rows,
                     dsts=local[sl],
                     dst_stride=self.num_columns,
-                    slot_offsets=self._combined_offsets,
+                    slot_offsets=self._page_slot_offsets,
                 )
                 self._scatter_into_page(entry, targets, alpha_vals, gamma_vals)
             with self._lock:
                 self._dirty.add(page)
         finally:
             self._unpin(page)
-
-    def _fold_combined(
-        self,
-        dsts: np.ndarray,
-        indices: np.ndarray,
-        depths: Optional[np.ndarray] = None,
-        checksums: Optional[np.ndarray] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        """Fold a mixed **multi-page** column in one kernel call per chunk.
-
-        Pages are uniform, so the page-pool-flat offset of bucket
-        ``(dst, slot)`` is affine in the remapped destination
-        ``d' = (dst // npp) * rounds * npp + dst % npp`` with the
-        combined slot offsets -- the fold kernel emits global paged
-        offsets directly, exactly as the in-RAM pool's round-major
-        mapping does.  Emitted targets ascend by segment, so one
-        boundary scan splits them per page and each page is pinned only
-        for its own scatter.  This is the *sparse* fold path: one
-        kernel invocation replaces hundreds of tiny per-page folds when
-        a flush spreads few updates over many pages.
-        """
-        npp = np.int64(self.nodes_per_page)
-        remapped = (dsts // npp) * np.int64(self.num_rounds) * npp + dsts % npp
-        chunk = (
-            int(chunk_size) if chunk_size else auto_fold_chunk(self.num_slots, dsts.size)
-        )
-        for start in range(0, dsts.size, chunk):
-            sl = slice(start, start + chunk)
-            if depths is None:
-                chunk_depths, chunk_checksums = hash_depths_checksums(
-                    indices[sl], self._mixed_membership, self._mixed_checksum,
-                    self.num_rows,
-                )
-            else:
-                chunk_depths, chunk_checksums = depths[sl], checksums[sl]
-            targets, alpha_vals, gamma_vals = fold_hashed(
-                indices[sl],
-                chunk_depths,
-                chunk_checksums,
-                self.num_rows,
-                dsts=remapped[sl],
-                dst_stride=self.num_columns,
-                slot_offsets=self._combined_offsets,
-            )
-            page_ids = targets // np.int64(self._page_elems)
-            cuts = np.flatnonzero(
-                np.concatenate([[True], page_ids[1:] != page_ids[:-1]])
-            )
-            ends = np.append(cuts[1:], targets.size)
-            for cut, end in zip(cuts.tolist(), ends.tolist()):
-                page = int(page_ids[cut])
-                entry = self._pin(page)
-                try:
-                    self._scatter_into_page(
-                        entry,
-                        targets[cut:end] - page * self._page_elems,
-                        alpha_vals[cut:end],
-                        gamma_vals[cut:end],
-                    )
-                    with self._lock:
-                        self._dirty.add(page)
-                finally:
-                    self._unpin(page)
 
     def _fold_columns(
         self,
@@ -650,36 +560,19 @@ class PagedTensorPool(NodeTensorPool):
         checksums: Optional[np.ndarray] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
-        """Fold a validated mixed column, picking the cheaper strategy.
+        """Fold a validated mixed column, one pinned page at a time.
 
-        Dense batches (many updates per touched page) run one
-        int16-radix fold per page; sparse batches fold once across all
-        pages (:data:`COMBINED_FOLD_THRESHOLD`).
+        The column is grouped by owning page and each group folds into
+        its page alone, so at most one page is pinned per fold.
         """
         with span("ingest.fold"):
-            pages = np.searchsorted(self.page_bounds, dsts, side="right") - 1
-            touched = int(np.unique(pages).size)
-            # Native kernels fold straight into a pinned page tensor (the
-            # fused scatter has no per-page fixed cost worth amortising),
-            # so they always take the per-page split.
-            if self._kernels is not None or dsts.size >= COMBINED_FOLD_THRESHOLD * touched:
-                for page, (page_dsts, rows) in self._split_by_page(
-                    dsts, [np.arange(dsts.size)], pages=pages
-                ):
-                    self._fold_into_page(
-                        page,
-                        page_dsts,
-                        indices[rows],
-                        depths=None if depths is None else depths[rows],
-                        checksums=None if checksums is None else checksums[rows],
-                        chunk_size=chunk_size,
-                    )
-            else:
-                self._fold_combined(
-                    dsts,
-                    indices,
-                    depths=depths,
-                    checksums=checksums,
+            for page, rows in self._split_by_page(dsts):
+                self._fold_into_page(
+                    page,
+                    dsts[rows],
+                    indices[rows],
+                    depths=None if depths is None else depths[rows],
+                    checksums=None if checksums is None else checksums[rows],
                     chunk_size=chunk_size,
                 )
 
@@ -816,18 +709,6 @@ class PagedTensorPool(NodeTensorPool):
             )
         self._version += 1
         self._updates_applied += 2 * int(idx.size)
-
-    def apply_node_batch(self, node: int, neighbors) -> None:
-        """Fold a single node's neighbor batch through its page."""
-        indices = self.encoder.encode_batch(node, neighbors)
-        if indices.size == 0:
-            return
-        page = self.page_of(node)
-        dsts = np.full(indices.size, node, dtype=np.int64)
-        with span("ingest.fold"):
-            self._fold_into_page(page, dsts, indices.astype(np.uint64, copy=False))
-        self._version += 1
-        self._updates_applied += int(indices.size)
 
     # ------------------------------------------------------------------
     # query-side slab assembly

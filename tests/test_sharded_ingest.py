@@ -16,13 +16,15 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConfigurationError
 from repro.generators.random_graphs import random_multigraph_edges
+from repro.memory.hybrid import HybridMemory
 from repro.parallel.graph_workers import ShardedIngestor, partition_mirrored_updates
-from repro.sketch import flat_node_sketch
 from repro.sketch.flat_node_sketch import (
     fold_hashed,
     hash_depths_checksums,
     max_radix_dst_span,
 )
+from repro.sketch.paged_pool import PagedTensorPool
+from repro.sketch.sizes import cubesketch_num_rows
 from repro.sketch.tensor_pool import (
     NodeTensorPool,
     auto_num_shards,
@@ -94,27 +96,86 @@ def test_partition_mirrored_updates_routes_each_endpoint():
 
 
 # ----------------------------------------------------------------------
-# the fold kernel's multi-destination int16 fast path
+# the fold kernel's one radix sort path, at every destination span
 # ----------------------------------------------------------------------
-def test_fold_fast_path_matches_slow_path(monkeypatch):
+def _per_destination_folds(indices, depths, checksums, num_rows, dsts):
+    """Reference: every destination's buckets folded alone, bucket by
+    bucket (an update of depth d lands in rows [0, d) of its slot)."""
+    num_slots = depths.shape[1]
+    buckets = {}
+    for i, index in enumerate(indices.tolist()):
+        dst = 0 if dsts is None else int(dsts[i])
+        for slot in range(num_slots):
+            for row in range(int(depths[i, slot])):
+                target = (dst * num_slots + slot) * num_rows + row
+                alpha, gamma = buckets.get(target, (0, 0))
+                buckets[target] = (alpha ^ index, gamma ^ int(checksums[i, slot]))
+    return buckets
+
+
+@pytest.mark.parametrize(
+    "spans, extra",
+    [(None, 0), (1, -1), (1, 0), (1, 1), (3, 5)],
+    ids=["dsts-None", "span-1", "span", "span+1", "3-spans"],
+)
+def test_fold_matches_per_destination_folds(spans, extra):
     rng = np.random.default_rng(7)
     num_rows, num_slots, k = 14, 12, 400
     indices = rng.integers(0, 1 << 20, k).astype(np.uint64)
-    dsts = rng.integers(10, 10 + 37, k)  # narrow span -> fast path eligible
+    dsts = None
+    if spans is not None:
+        span = max_radix_dst_span(num_rows)
+        nodes = spans * span + extra
+        # A few destinations with many updates each, among them pairs
+        # one span apart (equal keys in the first radix pass).
+        picks = rng.integers(0, nodes, 12)
+        picks = np.concatenate([[0, nodes - 1], picks, picks + span])
+        dsts = 10 + rng.choice(picks[picks < nodes], k)
+        dsts[:2] = 10, 10 + nodes - 1  # the batch spans exactly `nodes`
     seeds = rng.integers(1, 1 << 60, num_slots).astype(np.uint64)
     checks = rng.integers(1, 1 << 60, num_slots).astype(np.uint64)
     depths, checksums = hash_depths_checksums(indices, seeds, checks, num_rows)
 
-    fast = fold_hashed(indices, depths, checksums, num_rows, dsts=dsts)
-    monkeypatch.setattr(flat_node_sketch, "max_radix_dst_span", lambda rows: 1)
-    slow = fold_hashed(indices, depths, checksums, num_rows, dsts=dsts)
+    targets, alpha, gamma = fold_hashed(indices, depths, checksums, num_rows, dsts=dsts)
+    assert np.unique(targets).size == targets.size
+    assert dict(zip(targets.tolist(), zip(alpha.tolist(), gamma.tolist()))) == (
+        _per_destination_folds(indices, depths, checksums, num_rows, dsts)
+    )
 
-    def as_map(result):
-        targets, alpha, gamma = result
-        assert np.unique(targets).size == targets.size
-        return dict(zip(targets.tolist(), zip(alpha.tolist(), gamma.tolist())))
 
-    assert as_map(fast) == as_map(slow)
+@pytest.mark.parametrize("kind", ["packed", "wide", "paged"])
+def test_pool_fold_matches_per_destination_folds(kind):
+    # One round of one column keeps a pool wider than three radix
+    # spans small; the mixed batch takes the partition pass, and so
+    # does each two-span page of the paged pool.
+    num_nodes = 5000
+    encoder = EdgeEncoder(num_nodes)
+    span = max_radix_dst_span(cubesketch_num_rows(encoder.vector_length))
+
+    def make_pool():
+        geometry = dict(graph_seed=5, delta=0.5, num_rounds=1)
+        if kind == "paged":
+            return PagedTensorPool(
+                num_nodes, encoder, memory=HybridMemory(ram_bytes=1 << 20),
+                nodes_per_page=2 * span, **geometry,
+            )
+        return NodeTensorPool(num_nodes, encoder, force_wide=kind == "wide", **geometry)
+
+    mixed, single = make_pool(), make_pool()
+    rng = np.random.default_rng(3)
+    dsts = rng.integers(0, 3 * span + 5, 600)
+    others = (dsts + rng.integers(1, num_nodes, dsts.size)) % num_nodes
+    indices = encoder.encode_canonical_pairs(
+        np.minimum(dsts, others), np.maximum(dsts, others)
+    )
+
+    mixed.apply_updates(dsts, indices)
+    for node in np.unique(dsts):
+        mask = dsts == node
+        single.apply_updates(dsts[mask], indices[mask])
+
+    for a, b in zip(mixed.raw_tensors(), single.raw_tensors()):
+        assert np.array_equal(a, b)
 
 
 def test_fold_fast_path_matches_per_node_folds():
@@ -419,6 +480,18 @@ def test_sharded_ingestor_paged_pool_snaps_to_pages_and_rejects_processes():
     # Every shard boundary is a page boundary.
     assert set(ingestor.bounds.tolist()) <= set(pool.page_bounds.tolist())
     assert ingestor.num_shards <= pool.num_pages
+
+
+@pytest.mark.parametrize("paged", [False, True], ids=["in-ram", "paged"])
+@pytest.mark.parametrize("num_shards", [0, -3])
+def test_sharded_ingestor_rejects_non_positive_shard_counts(paged, num_shards):
+    config = GraphZeppelinConfig(
+        seed=1, ram_budget_bytes=1024 if paged else None, nodes_per_page=8
+    )
+    engine = GraphZeppelin(64, config=config)
+    assert engine.tensor_pool.is_paged == paged
+    with pytest.raises(ConfigurationError):
+        ShardedIngestor(engine, num_shards=num_shards)
 
 
 def test_sharded_ingestor_rejects_bad_backend():
